@@ -380,6 +380,81 @@ func TestPreparedBatchSurvivesViewChange(t *testing.T) {
 	}
 }
 
+// TestWithheldReproposalKeepsPreparedClaim: replica 0 commits seq 1 in
+// view 0 while replicas 1 and 2 only prepare it. The view-1 primary
+// (replica 1) enters view 1 with seq 1 in its re-proposal chain but its
+// re-proposal never arrives, so no view-1 instance prepares. The
+// view-changes for view 2 must still claim the batch prepared in view 0:
+// otherwise the view-2 primary is free to commit a different batch at
+// seq 1 while replica 0 holds the first one.
+func TestWithheldReproposalKeepsPreparedClaim(t *testing.T) {
+	c := newCluster(t, 4, 1)
+	author := hashsig.Sum([]byte("client"))
+	pp, _, err := c.replicas[0].Propose(reqs(author, 10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only replica 0 collects the commit quorum.
+	c.route(0, []Outbound{toAll(pp)}, []ReplicaID{0, 1, 2}, func(to ReplicaID, m Message) Message {
+		if _, ok := m.(*Commit); ok && to != 0 {
+			return nil
+		}
+		return m
+	})
+	if got := []uint64{c.replicas[0].Committed(), c.replicas[1].Committed(), c.replicas[2].Committed()}; got[0] != 1 || got[1] != 0 || got[2] != 0 {
+		t.Fatalf("committed %v, want [1 0 0]", got)
+	}
+	want := c.replicas[0].Ledger().BatchAt(1).Header.SigningDigest()
+
+	// View 1: the new-view reaches replicas 2 and 3; the re-proposal does not.
+	backups := []ReplicaID{1, 2, 3}
+	timeout := func(drop func(Message) bool) {
+		var outs [][]Outbound
+		for _, id := range backups {
+			outs = append(outs, c.replicas[id].OnTimeout())
+		}
+		for i, id := range backups {
+			c.route(id, outs[i], []ReplicaID{0, 1, 2, 3}, func(to ReplicaID, m Message) Message {
+				if to == 0 || drop(m) {
+					return nil
+				}
+				return m
+			})
+		}
+	}
+	timeout(func(m Message) bool { _, pp := m.(*PrePrepare); return pp })
+	for _, id := range backups {
+		if r := c.replicas[id]; r.View() != 1 {
+			t.Fatalf("after view 1: %s", r.DebugState())
+		}
+	}
+	if r := c.replicas[2]; r.InFlight() != 0 {
+		t.Fatalf("replica 2 kept speculation into view 1: %s", r.DebugState())
+	}
+
+	// View 2, led by replica 2, with every message delivered among 1-3.
+	timeout(func(Message) bool { return false })
+	if r := c.replicas[2]; r.View() != 2 {
+		t.Fatalf("after view 2: %s", r.DebugState())
+	}
+	if p := c.replicas[2]; p.CanPropose() && p.NextProposalSeq() == 1 {
+		pp, _, err := p.Propose(reqs(author, 99, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.route(2, []Outbound{toAll(pp)}, backups, nil)
+	}
+	for _, id := range backups {
+		r := c.replicas[id]
+		if r.Committed() < 1 {
+			t.Fatalf("replica %d did not commit seq 1: %s", id, r.DebugState())
+		}
+		if got := r.Ledger().BatchAt(1).Header.SigningDigest(); got != want {
+			t.Fatalf("replica %d committed a different batch at seq 1 than replica 0", id)
+		}
+	}
+}
+
 func TestMessageCodecRoundTrip(t *testing.T) {
 	c := newCluster(t, 4, 4)
 	author := hashsig.Sum([]byte("client"))
@@ -495,8 +570,8 @@ func TestConfigValidation(t *testing.T) {
 // TestBufferDiscardsPermanentlyStale: a delayed retransmit for a batch the
 // replica has checkpointed past can never become processable — buffering it
 // would leak it until maxFuture churn. The guard acks-and-discards exactly
-// the messages below the retained re-ack window; view-keyed traffic is
-// never seq-gated.
+// the messages a whole window below the committed boundary; view-keyed
+// traffic is never seq-gated.
 func TestBufferDiscardsPermanentlyStale(t *testing.T) {
 	c := newCluster(t, 4, 1)
 	r := c.replicas[0]
@@ -510,7 +585,7 @@ func TestBufferDiscardsPermanentlyStale(t *testing.T) {
 	if len(r.future) != 0 {
 		t.Fatal("commit at the discard boundary was buffered")
 	}
-	r.buffer(&Commit{Seq: 97}) // inside the re-ack window: keep
+	r.buffer(&Commit{Seq: 97}) // inside the last window: keep
 	if len(r.future) != 1 {
 		t.Fatal("in-window commit was discarded")
 	}

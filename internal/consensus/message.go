@@ -42,15 +42,15 @@ const (
 	MsgViewChange MsgType = 4
 	// MsgNewView is the new primary's 2f+1 view-change certificate.
 	MsgNewView MsgType = 5
-	// MsgSyncRequest is a laggard's ask for checkpoint availability: who
-	// holds a checkpoint past its committed watermark.
+	// MsgSyncRequest is a laggard's ask for catch-up: who can serve the
+	// committed batches past its committed watermark.
 	MsgSyncRequest MsgType = 6
-	// MsgSyncAvail answers a sync request: the responder's latest committed
-	// checkpoint coordinates, anchored by the commit certificate for its
-	// latest committed batch.
+	// MsgSyncAvail answers a sync request with a suffix-only or checkpoint
+	// offer, anchored by the commit certificate for the responder's latest
+	// committed batch.
 	MsgSyncAvail MsgType = 7
 	// MsgSyncChunkRequest asks one peer for one state or batch chunk of an
-	// announced checkpoint.
+	// accepted offer.
 	MsgSyncChunkRequest MsgType = 8
 	// MsgSyncChunk carries one requested chunk: a shard's canonical
 	// serialization, or one committed batch of the suffix above the
@@ -286,9 +286,9 @@ type PreparedProof struct {
 const maxPreparedClaims = 1 << 8
 
 // ViewChange asks to move to view NewView. It carries the sender's highest
-// committed sequence number with the commit certificate proving it, and one
-// PreparedProof per prepared-but-uncommitted instance in the sender's
-// proposal window, in ascending sequence order — the new primary must
+// committed sequence number with the commit certificate proving it, and the
+// highest-view PreparedProof the sender holds for each uncommitted sequence
+// number in its proposal window, in ascending sequence order — the new primary must
 // re-propose every certified batch of the contiguous uncommitted prefix,
 // which is what preserves safety across the change (a batch that committed
 // anywhere was prepared by at least f+1 honest replicas, so every 2f+1
@@ -472,8 +472,8 @@ func decodeNewView(r *wire.Reader) *NewView {
 	return m
 }
 
-// SyncRequest is a laggard's broadcast ask for state transfer: any replica
-// holding a committed checkpoint past HaveSeq answers with a SyncAvail.
+// SyncRequest is a laggard's broadcast ask for catch-up: any replica that
+// committed past HaveSeq answers with a SyncAvail.
 // Sync messages are unsigned — nothing in them is trusted. The availability
 // answer carries a commit certificate, and every chunk is verified against
 // the digests that certificate signs over before adoption, so a forged or
@@ -502,10 +502,13 @@ func decodeSyncRequest(r *wire.Reader) *SyncRequest {
 // decode: 12 header bytes plus at most 64 peak digests.
 const maxFrontierBytes = 1 << 12
 
-// SyncAvail announces what the responder can serve: its latest committed
-// checkpoint (sequence number, per-shard digest vector, history-tree
-// frontier) plus the commit certificate for its latest committed batch.
-// The certificate is the sole trust anchor of the transfer: its signed
+// SyncAvail announces what the responder can serve, plus the commit
+// certificate for its latest committed batch. A suffix-only offer leaves
+// ShardDigests and Frontier empty: CkptSeq is the requester's HaveSeq, and
+// the batches above it replay onto the requester's own committed ledger. A
+// checkpoint offer carries the responder's latest committed checkpoint
+// (sequence number, per-shard digest vector, history-tree frontier). The
+// certificate is the sole trust anchor of the transfer: its signed
 // header's d_C must equal the combined shard digest vector, each state
 // chunk must hash to its slot in that vector, and the batch suffix up to
 // the certified sequence number must replay to the certified header.
@@ -565,14 +568,15 @@ const (
 	// SyncChunkState is one shard's canonical serialization; Index is the
 	// shard number. It verifies by hashing to ShardDigests[Index].
 	SyncChunkState uint32 = 0
-	// SyncChunkBatch is one committed batch above the checkpoint; Index is
-	// the offset, so the batch's sequence number is CkptSeq+1+Index. It
-	// verifies transitively by replaying onto the checkpoint up to the
-	// certified header.
+	// SyncChunkBatch is one committed batch above the replay base CkptSeq
+	// (the checkpoint, or the requester's committed boundary); Index is the
+	// offset, so the batch's sequence number is CkptSeq+1+Index. It
+	// verifies transitively by replaying onto the base up to the certified
+	// header.
 	SyncChunkBatch uint32 = 1
 )
 
-// SyncChunkRequest asks Source for one chunk of the checkpoint at CkptSeq.
+// SyncChunkRequest asks Source for one chunk of the offer based at CkptSeq.
 type SyncChunkRequest struct {
 	Replica ReplicaID // requester
 	Source  ReplicaID

@@ -71,12 +71,6 @@ type instance struct {
 	entries      []ledger.Entry
 	ownHeader    *ledger.BatchHeader
 	nonce        hashsig.Nonce // own commit nonce
-	// passive marks a catch-up instance replayed from an older view's
-	// traffic: the replica executes and collects, but emits nothing, and
-	// commits only on a full quorum of openings.
-	passive bool
-	// reack marks an instance for a seq this replica already committed.
-	reack bool
 	// prepMsgs holds the valid prepares seen, by backup (never the
 	// primary, whose endorsement and nonce commitment ride in prop).
 	prepMsgs map[ReplicaID]*Prepare
@@ -92,6 +86,16 @@ type instance struct {
 // endorsers counts distinct replicas backing the proposal: the primary via
 // its proposal signature plus one per valid prepare.
 func (in *instance) endorsers() int { return 1 + len(in.prepMsgs) }
+
+// claim returns the instance's prepared certificate: its pre-prepare plus
+// the prepares backing it.
+func (in *instance) claim() *PreparedProof {
+	c := &PreparedProof{PP: PrePrepare{Prop: *in.prop, Entries: in.entries}}
+	for _, id := range sortedKeys(in.prepMsgs) {
+		c.Prepares = append(c.Prepares, *in.prepMsgs[id])
+	}
+	return c
+}
 
 // commitment returns the nonce commitment replica id announced for this
 // instance, if known.
@@ -135,27 +139,16 @@ type Replica struct {
 	committed uint64 // highest committed batch seq (0 = none)
 	// insts holds the in-flight window, keyed by sequence number. Keys are
 	// always the contiguous range (committed, Ledger().Seq()): instances
-	// are created in execution order and abandoned as a suffix.
+	// are created in execution order and abandoned as a suffix, and all of
+	// them belong to the current view (entering a view abandons the rest).
 	insts map[uint64]*instance
-	// reacks holds participation-only instances for already committed
-	// batches (a new primary re-proposing them so laggards can finish),
-	// keyed by sequence number and bounded to the last Window commits.
-	// They never touch the ledger: the replica answers from its stored
-	// batch copy, lending its prepare and opening to the new round's
-	// quorum. Without them a replica that committed seq could never help
-	// re-form a quorum for it, and two laggards stuck below it would wait
-	// forever (quorums need 2f+1 participants, committed-or-not).
-	reacks map[uint64]*instance
 
 	// lastCommit retains the proof for the latest committed batch, carried
-	// in view-changes to certify CommittedSeq.
+	// in view-changes to certify CommittedSeq and in sync offers to anchor
+	// a laggard's catch-up. A replica that falls behind never re-runs the
+	// protocol for batches the cluster finished: it commits from such a
+	// certificate or fetches the suffix it anchors (sync.go).
 	lastCommit *CommitCert
-	// recentOwn keeps this replica's own protocol messages for the last
-	// Window committed instances. Retransmit re-emits them so a replica
-	// that missed a whole pipelined window — the original broadcasts are
-	// one-shot — can still rebuild passive catch-up instances and gather
-	// the openings it needs, without a state-transfer protocol.
-	recentOwn map[uint64][]Message
 
 	// view-change state
 	inViewChange bool
@@ -170,6 +163,11 @@ type Replica struct {
 	// pendingRepropose is the chain a new primary must re-propose but
 	// cannot yet, because it is still catching up to the chain's start.
 	pendingRepropose []*PrePrepare
+	// claims holds the highest-view prepared certificate known per seq in
+	// the window above the committed boundary — own instances' and entered
+	// new-views' chains — kept through rollbacks until the seq commits, so
+	// a withheld re-proposal cannot erase a prepared batch (PBFT's P set).
+	claims map[uint64]*PreparedProof
 	// proposeFloor is the highest certified committed seq seen in a
 	// new-view certificate; fresh proposals stay above it.
 	proposeFloor uint64
@@ -192,9 +190,8 @@ type Replica struct {
 	sigOK  *sigMemo
 	peerID map[*hashsig.PublicKey]hashsig.Digest
 
-	// sync is the checkpoint state-transfer state machine (sync.go): how
-	// this replica recovers once the cluster has pruned the batches it
-	// would need for in-window catch-up.
+	// sync is the catch-up state machine (sync.go): how this replica
+	// recovers any gap between its committed boundary and the cluster's.
 	sync syncState
 
 	// gen counts state transitions that can make buffered messages
@@ -256,10 +253,9 @@ func New(cfg Config) (*Replica, error) {
 		led:           led,
 		pool:          pool,
 		insts:         make(map[uint64]*instance),
-		reacks:        make(map[uint64]*instance),
-		recentOwn:     make(map[uint64][]Message),
 		vcs:           make(map[uint64]map[ReplicaID]*ViewChange),
 		mustRepropose: make(map[uint64]hashsig.Digest),
+		claims:        make(map[uint64]*PreparedProof),
 		seen:          make(map[slotKey]*Proposal),
 		blamed:        make(map[slotKey]bool),
 		sigOK:         newSigMemo(),
@@ -280,8 +276,7 @@ func (r *Replica) Committed() uint64 { return r.committed }
 // Window returns the configured proposal window W.
 func (r *Replica) Window() int { return r.window }
 
-// InFlight returns the number of speculative instances currently open
-// (excluding re-acks of already committed batches).
+// InFlight returns the number of speculative instances currently open.
 func (r *Replica) InFlight() int { return len(r.insts) }
 
 // NextProposalSeq returns the sequence number the next Propose call would
@@ -300,28 +295,24 @@ func (r *Replica) Evidence() []*Blame {
 // failure reports.
 func (r *Replica) DebugState() string {
 	win := "idle"
-	if len(r.insts) > 0 || len(r.reacks) > 0 {
+	if len(r.insts) > 0 {
 		win = ""
 		for _, seq := range sortedKeys(r.insts) {
 			in := r.insts[seq]
-			win += fmt.Sprintf("inst{view %d seq %d passive %v prepared %v endorsers %d opens %d} ",
-				in.prop.View, seq, in.passive, in.preparedCert, in.endorsers(), len(in.opens))
-		}
-		for _, seq := range sortedKeys(r.reacks) {
-			in := r.reacks[seq]
-			win += fmt.Sprintf("reack{view %d seq %d endorsers %d opens %d} ", in.prop.View, seq, in.endorsers(), len(in.opens))
+			win += fmt.Sprintf("inst{view %d seq %d prepared %v endorsers %d opens %d} ",
+				in.prop.View, seq, in.preparedCert, in.endorsers(), len(in.opens))
 		}
 	}
-	return fmt.Sprintf("replica %d: view %d committed %d window %d vc %v(target %d) floor %d obligations %d pending %d future %d sync %d(ahead %d) retained %d %s",
+	return fmt.Sprintf("replica %d: view %d committed %d window %d vc %v(target %d) floor %d obligations %d pending %d claims %d future %d sync %d(ahead %d) retained %d %s",
 		r.cfg.ID, r.view, r.committed, r.window, r.inViewChange, r.vcTarget, r.proposeFloor,
-		len(r.mustRepropose), len(r.pendingRepropose), len(r.future), r.sync.phase, r.sync.ahead,
+		len(r.mustRepropose), len(r.pendingRepropose), len(r.claims), len(r.future), r.sync.phase, r.sync.ahead,
 		r.led.RetainedBatches(), win)
 }
 
 // sortedKeys returns m's keys in ascending order. Every place the replica
-// iterates a protocol map — window instances, re-acks, certificate
-// assembly — must do so deterministically, or identical replicas would
-// emit differently-ordered (and differently-signed-over) messages.
+// iterates a protocol map — window instances, certificate assembly — must
+// do so deterministically, or identical replicas would emit
+// differently-ordered (and differently-signed-over) messages.
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {
@@ -347,10 +338,10 @@ func (r *Replica) CanPropose() bool {
 }
 
 // Idle reports whether the replica has nothing in flight at all: no open
-// instances, no re-acks, and CanPropose holds. With a window above one a
-// pipelining primary is rarely Idle — use CanPropose to pace proposals.
+// instances, and CanPropose holds. With a window above one a pipelining
+// primary is rarely Idle — use CanPropose to pace proposals.
 func (r *Replica) Idle() bool {
-	return len(r.insts) == 0 && len(r.reacks) == 0 && r.CanPropose()
+	return len(r.insts) == 0 && r.CanPropose()
 }
 
 // Propose executes reqs as the next batch and returns the pre-prepare to
@@ -370,7 +361,6 @@ func (r *Replica) Propose(reqs []ledger.Request) (*PrePrepare, []ledger.Receipt,
 
 // proposeBatch wraps an already-executed batch (ExecuteBatch or ApplyBatch
 // output adopted into the ledger) into a proposal and opens the instance.
-// A batch at or below the committed boundary opens as a re-ack.
 func (r *Replica) proposeBatch(batch *ledger.Batch) *PrePrepare {
 	nonce := hashsig.NewNonce()
 	prop := &Proposal{
@@ -389,16 +379,11 @@ func (r *Replica) proposeBatch(batch *ledger.Batch) *PrePrepare {
 		entries:       batch.Entries,
 		ownHeader:     &batch.Header,
 		nonce:         nonce,
-		reack:         prop.Seq() <= r.committed,
 		prepMsgs:      make(map[ReplicaID]*Prepare),
 		opens:         make(map[ReplicaID]hashsig.Nonce),
 		ownPrePrepare: pp,
 	}
-	if in.reack {
-		r.reacks[prop.Seq()] = in
-	} else {
-		r.insts[prop.Seq()] = in
-	}
+	r.insts[prop.Seq()] = in
 	r.gen++
 	return pp
 }
@@ -440,10 +425,10 @@ func (r *Replica) drainFuture(out *[]Outbound) {
 
 func (r *Replica) buffer(m Message) {
 	// Ack-and-discard: a delayed retransmit (or a later-view copy) of a
-	// message for a batch below the retained re-ack window can never be
-	// processed — the replica checkpointed past it and its peers pruned it.
-	// Buffering it would leak it until maxFuture churn under long
-	// adversarial schedules.
+	// message for a batch a whole window below the committed boundary can
+	// never be processed — the replica committed past it and its peers
+	// pruned it. Buffering it would leak it until maxFuture churn under
+	// long adversarial schedules.
 	if seq, ok := messageSeq(m); ok && seq > 0 && seq+uint64(r.window) <= r.committed {
 		return
 	}
@@ -527,84 +512,51 @@ func (r *Replica) validateProposal(prop *Proposal) error {
 	return nil
 }
 
-// instanceAt returns the in-flight instance owning seq: a window instance
-// above the committed boundary, a re-ack at or below it (the two maps'
-// key ranges are disjoint).
-func (r *Replica) instanceAt(seq uint64) *instance {
-	if in, ok := r.insts[seq]; ok {
-		return in
-	}
-	return r.reacks[seq]
-}
-
 func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 	prop := &pp.Prop
 	if err := r.validateProposal(prop); err != nil {
 		return err
 	}
 	seq := prop.Seq()
-	if seq == 0 || seq+uint64(r.window) <= r.committed {
-		return nil // stale: outside the retained re-ack window
+	if seq <= r.committed {
+		return nil // stale
 	}
 	if prop.View > r.view {
 		r.buffer(pp)
 		return nil
 	}
+	if seq > uint64(r.window) {
+		// A validly signed proposal at seq implies its primary committed at
+		// least seq-window (any replica can sign for a future view it
+		// leads, so those are no evidence). Recorded before the branches
+		// below drop or park it: a replica alone in a view change must
+		// still notice its peers moving on (sync.go fetches what it missed).
+		r.noteAhead(seq - uint64(r.window))
+	}
 	if r.checkEquivocation(prop) {
 		return fmt.Errorf("%w: equivocating proposal at view %d seq %d", ErrInvalid, prop.View, seq)
 	}
-	if r.inViewChange {
-		// Park it: if the view change lands us past this proposal's view,
-		// the batch may still commit passively from its quorum's traffic.
-		r.buffer(pp)
+	if prop.View < r.view || r.inViewChange {
+		// An older view's proposal, or the current view's while leaving it:
+		// neither can gather a quorum any more. Whatever of it prepared
+		// returns as the next primary's re-proposal, and whatever committed
+		// is learned from certificates.
 		return nil
 	}
-
-	if seq <= r.committed {
-		if prop.View < r.view {
-			return nil // an old view's re-proposal; nothing to gain
-		}
-		// Re-proposal of a batch we already committed (a new primary helping
-		// laggards finish): participate from our stored copy, no re-execution.
-		return r.startReack(pp, out)
-	}
-	if seq > r.committed+uint64(r.window) {
-		// A validly signed proposal at seq implies its primary committed at
-		// least seq-window: evidence this replica may be beyond in-window
-		// catch-up (sync.go decides after patience).
-		r.noteAhead(seq - uint64(r.window))
-		r.buffer(pp)
+	if _, open := r.insts[seq]; open {
+		// Duplicate delivery, or a conflicting same-view proposal (blame
+		// recorded above). Stragglers pull resends via Retransmit
+		// (re-emitting here would echo-amplify every broadcast).
 		return nil
 	}
-
-	passive := prop.View < r.view
-	if in := r.insts[seq]; in != nil {
-		if in.prop.View == prop.View && in.headerDigest == prop.Header.SigningDigest() {
-			// Duplicate delivery; stragglers pull resends via Retransmit
-			// (re-emitting here would echo-amplify every broadcast).
-			return nil
-		}
-		if passive {
-			return nil // one catch-up instance per slot; first wins
-		}
-		if !in.passive && in.prop.View == prop.View {
-			return nil // conflicting same-view proposal; blame recorded above
-		}
-		// A current-view proposal replaces an older view's passive
-		// speculation — which, sitting in the ledger, takes every later
-		// speculative batch down with it (Lemma 1, suffix rollback).
-		r.abandonFrom(seq)
-	}
-	if seq != r.led.Seq() {
-		// In the window but ahead of the execution chain (an earlier
+	if seq > r.committed+uint64(r.window) || seq != r.led.Seq() {
+		// Beyond the window, or ahead of the execution chain (an earlier
 		// pre-prepare is still missing): wait for the gap to fill.
 		r.buffer(pp)
 		return nil
 	}
-	if !passive {
-		if want, pinned := r.mustRepropose[seq]; pinned && prop.Header.SigningDigest() != want {
-			return fmt.Errorf("%w: view %d primary must re-propose the prepared batch at seq %d", ErrInvalid, r.view, seq)
-		}
+	if want, pinned := r.mustRepropose[seq]; pinned && prop.Header.SigningDigest() != want {
+		return fmt.Errorf("%w: view %d primary must re-propose the prepared batch at seq %d", ErrInvalid, r.view, seq)
 	}
 
 	ownHeader, err := r.led.ApplyBatch(pp.Batch())
@@ -619,98 +571,44 @@ func (r *Replica) handlePrePrepare(pp *PrePrepare, out *[]Outbound) error {
 		entries:      pp.Entries,
 		ownHeader:    ownHeader, // our own signature over the same commitments
 		nonce:        nonce,
-		passive:      passive,
 		prepMsgs:     make(map[ReplicaID]*Prepare),
 		opens:        make(map[ReplicaID]hashsig.Nonce),
 	}
 	r.insts[seq] = in
 	r.gen++
-	if !passive {
-		delete(r.mustRepropose, seq)
-		prep := &Prepare{Replica: r.cfg.ID, Prop: *prop, NonceCommit: nonce.Commit()}
-		prep.Sig = r.cfg.Key.MustSign(prep.SigningDigest())
-		in.ownPrepare = prep
-		in.prepMsgs[r.cfg.ID] = prep
-		*out = append(*out, toAll(prep))
-	}
-	r.checkPrepared(in, out)
-	r.advanceCommits(out)
-	return nil
-}
-
-// startReack opens a participation-only instance for a batch this replica
-// already committed, so replicas that missed the original round can gather
-// a quorum in the new view.
-func (r *Replica) startReack(pp *PrePrepare, out *[]Outbound) error {
-	seq := pp.Prop.Seq()
-	digest := pp.Prop.Header.SigningDigest()
-	ownBatch := r.committedBatch(seq)
-	if ownBatch == nil || ownBatch.Header.SigningDigest() != digest {
-		return fmt.Errorf("%w: re-proposal conflicts with committed batch %d", ErrInvalid, seq)
-	}
-	if in := r.reacks[seq]; in != nil && in.prop.View >= pp.Prop.View {
-		return nil // duplicate delivery (same-view conflicts blame earlier)
-	}
-	prop := &pp.Prop
-	nonce := hashsig.NewNonce()
-	in := &instance{
-		prop:         prop,
-		headerDigest: digest,
-		propDigest:   prop.SigningDigest(),
-		entries:      pp.Entries,
-		ownHeader:    &ownBatch.Header,
-		nonce:        nonce,
-		reack:        true,
-		prepMsgs:     make(map[ReplicaID]*Prepare),
-		opens:        make(map[ReplicaID]hashsig.Nonce),
-	}
-	r.reacks[seq] = in
-	r.gen++
+	delete(r.mustRepropose, seq)
 	prep := &Prepare{Replica: r.cfg.ID, Prop: *prop, NonceCommit: nonce.Commit()}
 	prep.Sig = r.cfg.Key.MustSign(prep.SigningDigest())
 	in.ownPrepare = prep
 	in.prepMsgs[r.cfg.ID] = prep
 	*out = append(*out, toAll(prep))
 	r.checkPrepared(in, out)
+	r.advanceCommits(out)
 	return nil
-}
-
-// committedBatch returns this replica's stored batch for a committed seq,
-// or nil.
-func (r *Replica) committedBatch(seq uint64) *ledger.Batch {
-	if seq > r.committed {
-		return nil
-	}
-	return r.led.BatchAt(seq)
 }
 
 // abandonFrom discards the in-flight instance at seq and every later one,
 // rolling back the speculative execution they put in the ledger (Lemma 1).
+// The prepared certificates of discarded instances stay claimed.
 func (r *Replica) abandonFrom(seq uint64) {
 	dropped := false
-	for s := range r.insts {
-		if s >= seq {
-			delete(r.insts, s)
-			dropped = true
+	for _, s := range sortedKeys(r.insts) {
+		if s < seq {
+			continue
 		}
+		if in := r.insts[s]; in.preparedCert {
+			r.keepClaim(in.claim())
+		}
+		delete(r.insts, s)
+		dropped = true
 	}
 	if !dropped {
 		return
 	}
 	if r.led.Seq() > seq {
+		// The mark exists: every executed batch leaves one, and marks above
+		// the committed boundary — where seq always lies — are never pruned.
 		if err := r.led.RollbackTo(seq); err != nil {
-			if errors.Is(err, ledger.ErrPruned) {
-				// The rollback target fell below the pruned checkpoint
-				// boundary: local history can no longer reach the state the
-				// protocol needs, so route into state transfer instead of
-				// crashing — the sync protocol replaces the whole ledger with
-				// a verified checkpoint.
-				r.sync.force = true
-				r.gen++
-				return
-			}
-			// The mark exists: every executed batch leaves one, and marks at
-			// or above the committed boundary are never pruned.
 			panic(err)
 		}
 	}
@@ -719,6 +617,13 @@ func (r *Replica) abandonFrom(seq uint64) {
 
 func (r *Replica) handlePrepare(p *Prepare, out *[]Outbound) error {
 	prop := &p.Prop
+	seq := prop.Seq()
+	if seq <= r.committed {
+		// Stale: nothing at or below the committed boundary can use it, so
+		// it is dropped before any signature work. No evidence is lost —
+		// stale prepares never fed the equivocation check.
+		return nil
+	}
 	if err := r.proposalStructure(prop); err != nil {
 		return err
 	}
@@ -730,24 +635,17 @@ func (r *Replica) handlePrepare(p *Prepare, out *[]Outbound) error {
 	if !r.verifyTasks(r.prepareTasks(p, nil)) {
 		return fmt.Errorf("%w: bad signature in prepare from %d", ErrInvalid, p.Replica)
 	}
-	seq := prop.Seq()
-	if seq <= r.committed && r.reacks[seq] == nil {
-		return nil
-	}
 	if prop.View > r.view {
 		r.buffer(p)
 		return nil
 	}
 	r.checkEquivocation(prop)
-	if r.inViewChange {
-		r.buffer(p)
+	if prop.View < r.view || r.inViewChange {
 		return nil
 	}
-	in := r.instanceAt(seq)
+	in := r.insts[seq]
 	if in == nil || in.propDigest != prop.SigningDigest() {
-		if seq > r.committed {
-			r.buffer(p)
-		}
+		r.buffer(p)
 		return nil
 	}
 	if _, dup := in.prepMsgs[p.Replica]; !dup {
@@ -762,23 +660,19 @@ func (r *Replica) handleCommit(c *Commit, out *[]Outbound) error {
 	if int(c.Replica) >= r.n {
 		return fmt.Errorf("%w: commit from %d", ErrInvalid, c.Replica)
 	}
-	if c.Seq <= r.committed && r.reacks[c.Seq] == nil {
+	if c.Seq <= r.committed {
 		return nil
 	}
 	if c.View > r.view {
 		r.buffer(c)
 		return nil
 	}
-	if r.inViewChange {
-		r.buffer(c)
+	if c.View < r.view || r.inViewChange {
 		return nil
 	}
-	in := r.instanceAt(c.Seq)
-	if in == nil || in.prop.View != c.View || in.headerDigest != c.HeaderDigest ||
-		in.prop.Seq() != c.Seq {
-		if c.Seq > r.committed {
-			r.buffer(c)
-		}
+	in := r.insts[c.Seq]
+	if in == nil || in.prop.View != c.View || in.headerDigest != c.HeaderDigest {
+		r.buffer(c)
 		return nil
 	}
 	// The nonce authenticates itself: it must open the commitment c.Replica
@@ -804,7 +698,7 @@ func (r *Replica) handleCommit(c *Commit, out *[]Outbound) error {
 // proposal: the replica reveals its nonce in an unsigned commit message
 // (Lemma 3).
 func (r *Replica) checkPrepared(in *instance, out *[]Outbound) {
-	if in == nil || in.preparedCert || in.passive || in.endorsers() < r.quorum {
+	if in.preparedCert || in.endorsers() < r.quorum {
 		return
 	}
 	in.preparedCert = true
@@ -824,50 +718,20 @@ func (r *Replica) checkPrepared(in *instance, out *[]Outbound) {
 // order: the instance just above the committed boundary commits once 2f+1
 // distinct replicas opened their commitments, which may unblock the next.
 // Quorums that completed out of order simply wait here, fully buffered,
-// until their predecessors commit. A completed re-ack is dropped (its
-// batch was already committed).
+// until their predecessors commit.
 func (r *Replica) advanceCommits(out *[]Outbound) {
-	progressed := false
 	for {
-		seq := r.committed + 1
-		in := r.insts[seq]
+		in := r.insts[r.committed+1]
 		if in == nil || in.openedQuorum() < r.quorum {
 			break
 		}
-		progressed = true
-		cert := r.buildCommitCert(in)
-		delete(r.insts, seq)
-		r.committed = seq
-		r.lastCommit = cert
-		r.retainOwn(seq, in)
-		r.led.PruneMarks(seq)
-		delete(r.mustRepropose, seq)
-		// Blame slots at or below the committed boundary stay recorded (the
-		// evidence keeps its value), but the seen map is pruned to bound it.
-		for k := range r.seen {
-			if k.seq < seq {
-				delete(r.seen, k)
-			}
-		}
-		r.gen++
-	}
-	if progressed {
-		// Commits advanced past a checkpoint boundary eventually: drop
-		// batches below both the latest committed checkpoint and the re-ack
-		// window, bounding retained ledger memory (sync.go serves anything
-		// older via chunked state transfer).
-		r.maybePrune()
-	}
-	// Close out re-acks that served their purpose (full quorum of
-	// openings re-formed) or slid out of the retained window.
-	for seq, in := range r.reacks {
-		if seq+uint64(r.window) <= r.committed || in.openedQuorum() >= r.quorum {
-			delete(r.reacks, seq)
-			r.gen++
-		}
+		r.commitThrough(r.buildCommitCert(in))
 	}
 	// A parked re-proposal chain resumes the moment the primary reaches its
-	// start.
+	// start (unless it is already leaving the view).
+	if r.inViewChange {
+		return
+	}
 	for len(r.pendingRepropose) > 0 && r.pendingRepropose[0].Prop.Seq() <= r.committed {
 		r.pendingRepropose = r.pendingRepropose[1:]
 	}
@@ -876,6 +740,52 @@ func (r *Replica) advanceCommits(out *[]Outbound) {
 		r.pendingRepropose = nil
 		r.reproposeChain(chain, out)
 	}
+}
+
+// commitFromCert is catch-up from a verified commit certificate (one carried
+// in a view-change, a new-view, or a sync offer). When the local ledger holds
+// the certified header at the certificate's sequence number, that header's
+// ¯M chains every earlier entry, so the whole local prefix up to it is
+// exactly what committed: it commits without re-running the protocol for
+// any of those batches. It reports whether the certificate was usable.
+func (r *Replica) commitFromCert(cert *CommitCert, out *[]Outbound) bool {
+	if cert == nil || cert.Seq() <= r.committed {
+		return false
+	}
+	b := r.led.BatchAt(cert.Seq())
+	if b == nil || b.Header.SigningDigest() != cert.Prop.Header.SigningDigest() {
+		return false
+	}
+	r.commitThrough(cert)
+	r.advanceCommits(out)
+	return true
+}
+
+// commitThrough moves the committed boundary up to cert's sequence number.
+// The caller guarantees the local ledger holds the certified header there,
+// so every local batch up to it is final.
+func (r *Replica) commitThrough(cert *CommitCert) {
+	seq := cert.Seq()
+	for s := r.committed + 1; s <= seq; s++ {
+		delete(r.insts, s)
+		delete(r.mustRepropose, s)
+		delete(r.claims, s)
+	}
+	r.committed = seq
+	r.lastCommit = cert
+	r.led.PruneMarks(seq)
+	// Blame slots at or below the committed boundary stay recorded (the
+	// evidence keeps its value), but the seen map is pruned to bound it.
+	for k := range r.seen {
+		if k.seq < seq {
+			delete(r.seen, k)
+		}
+	}
+	// Drop batches below both the latest committed checkpoint and the
+	// retained window, bounding ledger memory (sync.go serves anything
+	// older via chunked state transfer).
+	r.maybePrune()
+	r.gen++
 }
 
 // buildCommitCert assembles the proof that the instance committed.
@@ -890,22 +800,6 @@ func (r *Replica) buildCommitCert(in *instance) *CommitCert {
 	return cert
 }
 
-// retainOwn records the replica's own messages for a just-committed
-// instance and prunes retention to the last Window sequence numbers. A
-// passive instance contributes nothing (it never emitted).
-func (r *Replica) retainOwn(seq uint64, in *instance) {
-	var own []Message
-	r.retransmitInstance(in, &own)
-	if len(own) > 0 {
-		r.recentOwn[seq] = own
-	}
-	for s := range r.recentOwn {
-		if s+uint64(r.window) <= seq {
-			delete(r.recentOwn, s)
-		}
-	}
-}
-
 // OnTimeout abandons the current view and broadcasts a view change for the
 // next one. Callers invoke it when progress has stalled; repeated calls
 // escalate the target view.
@@ -917,10 +811,24 @@ func (r *Replica) OnTimeout() []Outbound {
 	return r.startViewChange(target)
 }
 
+// keepClaim records a prepared certificate unless its seq lies outside the
+// window above the committed boundary or an equal or later view's is held.
+func (r *Replica) keepClaim(c *PreparedProof) {
+	seq := c.PP.Prop.Seq()
+	if seq <= r.committed || seq > r.committed+uint64(r.window) {
+		return
+	}
+	if cur, ok := r.claims[seq]; ok && cur.PP.Prop.View >= c.PP.Prop.View {
+		return
+	}
+	r.claims[seq] = c
+}
+
 // startViewChange emits this replica's view-change for the target view,
-// carrying a prepared claim for every in-window instance that reached its
-// prepare quorum (quorums can form out of order, so the claims may be
-// non-contiguous).
+// carrying every prepared claim it holds for the window above its committed
+// boundary: its in-window instances that reached their prepare quorum plus
+// the claims kept across earlier views (quorums can form out of order, so
+// the claims may be non-contiguous).
 func (r *Replica) startViewChange(target uint64) []Outbound {
 	r.inViewChange = true
 	r.vcTarget = target
@@ -932,15 +840,12 @@ func (r *Replica) startViewChange(target uint64) []Outbound {
 		CommitProof:  r.lastCommit,
 	}
 	for _, seq := range sortedKeys(r.insts) {
-		in := r.insts[seq]
-		if !in.preparedCert || seq <= r.committed {
-			continue
+		if in := r.insts[seq]; in.preparedCert {
+			r.keepClaim(in.claim())
 		}
-		claim := PreparedProof{PP: PrePrepare{Prop: *in.prop, Entries: in.entries}}
-		for _, id := range sortedKeys(in.prepMsgs) {
-			claim.Prepares = append(claim.Prepares, *in.prepMsgs[id])
-		}
-		vc.Prepared = append(vc.Prepared, claim)
+	}
+	for _, seq := range sortedKeys(r.claims) {
+		vc.Prepared = append(vc.Prepared, *r.claims[seq])
 	}
 	vc.Sig = r.cfg.Key.MustSign(vc.SigningDigest())
 	r.ownVC = vc
@@ -1051,7 +956,10 @@ func (r *Replica) handleViewChange(vc *ViewChange, out *[]Outbound) error {
 	if err := r.validateViewChange(vc); err != nil {
 		return err
 	}
-	// The committed claim was just certified against its commit proof.
+	// The committed claim was just certified against its commit proof:
+	// commit from it if it matches local speculation, else it is evidence
+	// for sync.go.
+	r.commitFromCert(vc.CommitProof, out)
 	r.noteAhead(vc.CommittedSeq)
 	for i := range vc.Prepared {
 		r.checkEquivocation(&vc.Prepared[i].PP.Prop)
@@ -1127,10 +1035,12 @@ func (r *Replica) handleNewView(nv *NewView, out *[]Outbound) error {
 // sequence number the claim from the highest view wins (a later view's
 // certificate supersedes earlier ones, as in PBFT), and the chain stops at
 // the first uncertified gap — commits are in order, so nothing beyond a
-// gap can have committed anywhere. Speculative instances are kept as
-// passive catch-up instances (their openings may still complete them);
-// conflicting re-proposals in the new view replace them, rolling the
-// speculation back at that point (Lemma 1).
+// gap can have committed anywhere. The certificate's commit proofs commit
+// whatever local speculation they match; the remaining speculation is
+// rolled back (Lemma 1), since old-view instances can no longer gather
+// quorums and the prepared ones return as re-proposals (their claims, and
+// the chain's, are kept). A replica left below the high-water mark catches
+// up through sync.go.
 func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 	v := nv.View
 	maxCommitted := uint64(0)
@@ -1140,26 +1050,26 @@ func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 		}
 	}
 	r.noteAhead(maxCommitted)
-	best := make(map[uint64]*PrePrepare)
+	best := make(map[uint64]*PreparedProof)
 	for i := range nv.VCs {
 		for j := range nv.VCs[i].Prepared {
-			pp := &nv.VCs[i].Prepared[j].PP
-			seq := pp.Prop.Seq()
+			claim := &nv.VCs[i].Prepared[j]
+			seq := claim.PP.Prop.Seq()
 			if seq <= maxCommitted {
 				continue
 			}
-			if cur, ok := best[seq]; !ok || pp.Prop.View > cur.Prop.View {
-				best[seq] = pp
+			if cur, ok := best[seq]; !ok || claim.PP.Prop.View > cur.PP.Prop.View {
+				best[seq] = claim
 			}
 		}
 	}
 	var chain []*PrePrepare
 	for seq := maxCommitted + 1; ; seq++ {
-		pp, ok := best[seq]
+		claim, ok := best[seq]
 		if !ok {
 			break
 		}
-		chain = append(chain, pp)
+		chain = append(chain, &claim.PP)
 	}
 
 	r.view = v
@@ -1172,63 +1082,24 @@ func (r *Replica) enterView(nv *NewView, out *[]Outbound) {
 			delete(r.vcs, tv)
 		}
 	}
-	for _, in := range r.insts {
-		in.passive = true
-	}
-	r.reacks = make(map[uint64]*instance) // old-view re-acks; nothing speculative to undo
 	r.mustRepropose = make(map[uint64]hashsig.Digest)
 	r.pendingRepropose = nil
 	if maxCommitted > r.proposeFloor {
 		r.proposeFloor = maxCommitted
 	}
+	for i := range nv.VCs {
+		r.commitFromCert(nv.VCs[i].CommitProof, out)
+	}
+	r.abandonFrom(r.committed + 1)
 
-	isPrimary := r.primaryOf(v) == r.cfg.ID
-	if len(chain) > 0 {
-		for _, pp := range chain {
-			if seq := pp.Prop.Seq(); seq > r.committed {
-				r.mustRepropose[seq] = pp.Prop.Header.SigningDigest()
-			}
-		}
-		if isPrimary {
-			r.reproposeChain(chain, out)
-		}
-	} else if isPrimary {
-		// Leading a view with no surviving prepared chain: passive leftovers
-		// above the certificate's commit mark can never complete (their
-		// batches demonstrably have no prepared quorum, or they would be in
-		// the certificate), so clear them rather than letting them block
-		// proposals. Leftovers at or below the mark are catch-up instances
-		// for batches that committed elsewhere — keep them, they complete
-		// from retransmitted openings (and proposeFloor already blocks
-		// fresh proposals until this replica catches up through them).
-		r.abandonFrom(max(r.committed, maxCommitted) + 1)
-		if r.committed >= maxCommitted {
-			// Laggards may still need quorums anywhere inside the last
-			// committed window in this view: re-propose the whole retained
-			// suffix (a laggard applies these in order as active instances;
-			// replicas that already committed them re-ack from storage).
-			r.reproposeCommittedWindow(out)
+	for _, pp := range chain {
+		if seq := pp.Prop.Seq(); seq > r.committed {
+			r.mustRepropose[seq] = pp.Prop.Header.SigningDigest()
+			r.keepClaim(best[seq])
 		}
 	}
-}
-
-// reproposeCommittedWindow re-proposes this replica's stored batches for
-// the last Window committed sequence numbers, oldest first. Bounded by the
-// window, it is the new primary's catch-up offer to laggards that fell
-// behind by more than one batch — the boundary batch alone would buffer
-// unusably on any replica whose ledger is further back.
-func (r *Replica) reproposeCommittedWindow(out *[]Outbound) {
-	if r.committed == 0 {
-		return
-	}
-	lo := uint64(1)
-	if r.committed > uint64(r.window) {
-		lo = r.committed - uint64(r.window) + 1
-	}
-	for seq := lo; seq <= r.committed; seq++ {
-		if b := r.led.BatchAt(seq); b != nil {
-			*out = append(*out, toAll(r.proposeBatch(b)))
-		}
+	if r.primaryOf(v) == r.cfg.ID {
+		r.reproposeChain(chain, out)
 	}
 }
 
@@ -1242,18 +1113,12 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 		chain = chain[1:] // already committed here
 	}
 	if len(chain) == 0 {
-		// The whole chain is committed locally; re-propose our retained
-		// committed window so laggards can finish.
-		r.reproposeCommittedWindow(out)
 		return
 	}
 	if first := chain[0].Prop.Seq(); first > r.committed+1 {
 		r.pendingRepropose = chain
 		return
 	}
-	// Any passive leftovers occupy the ledger slots the chain needs; the
-	// re-proposals supersede them either way.
-	r.abandonFrom(r.committed + 1)
 	for _, pp := range chain {
 		batch := pp.Batch()
 		ownHeader, err := r.led.ApplyBatch(batch)
@@ -1269,55 +1134,35 @@ func (r *Replica) reproposeChain(chain []*PrePrepare, out *[]Outbound) {
 }
 
 // Retransmit returns this replica's current outbound state — the messages a
-// peer would need if earlier deliveries were lost. Harness and transport
-// call it to model timeout-driven resends. Everything here is broadcast:
-// own protocol messages and re-ack resupply feed every peer's quorum
-// formation (a committed replica's prepares count toward others' endorser
-// tallies), unlike the pairwise sync chunk traffic.
+// peer would need if earlier deliveries were lost: its own messages for the
+// in-flight instances, plus the view-change it is waiting on or the new-view
+// certificate it issued for the current view. Harness and transport call it
+// to model timeout-driven resends. Nothing committed is resent: a peer that
+// missed a finished batch catches up from its commit certificate (sync.go).
 func (r *Replica) Retransmit() []Outbound {
 	var msgs []Message
 	if r.inViewChange {
 		if r.ownVC != nil {
 			msgs = append(msgs, r.ownVC)
 		}
-		var out []Outbound
-		broadcastAll(&out, msgs)
-		return out
-	}
-	if r.lastNewView != nil && r.lastNewView.View == r.view {
-		msgs = append(msgs, r.lastNewView)
-	}
-	for _, seq := range sortedKeys(r.insts) {
-		r.retransmitInstance(r.insts[seq], &msgs)
-	}
-	for _, seq := range sortedKeys(r.reacks) {
-		r.retransmitInstance(r.reacks[seq], &msgs)
-	}
-	// Re-emit the window's worth of committed-instance messages: between
-	// them, 2f+1 replicas resupply the pre-prepares, commitments, and
-	// openings a laggard needs to passively re-commit the batches it
-	// missed, however deep inside the last window it fell behind.
-	for _, seq := range sortedKeys(r.recentOwn) {
-		msgs = append(msgs, r.recentOwn[seq]...)
+	} else {
+		if r.lastNewView != nil && r.lastNewView.View == r.view {
+			msgs = append(msgs, r.lastNewView)
+		}
+		for _, seq := range sortedKeys(r.insts) {
+			in := r.insts[seq]
+			if in.ownPrePrepare != nil {
+				msgs = append(msgs, in.ownPrePrepare)
+			}
+			if in.ownPrepare != nil {
+				msgs = append(msgs, in.ownPrepare)
+			}
+			if in.ownCommit != nil {
+				msgs = append(msgs, in.ownCommit)
+			}
+		}
 	}
 	var out []Outbound
 	broadcastAll(&out, msgs)
 	return out
-}
-
-// retransmitInstance re-emits this replica's own messages for one in-flight
-// instance.
-func (r *Replica) retransmitInstance(in *instance, out *[]Message) {
-	if in == nil {
-		return
-	}
-	if in.ownPrePrepare != nil {
-		*out = append(*out, in.ownPrePrepare)
-	}
-	if in.ownPrepare != nil {
-		*out = append(*out, in.ownPrepare)
-	}
-	if in.ownCommit != nil {
-		*out = append(*out, in.ownCommit)
-	}
 }

@@ -502,10 +502,10 @@ func (s *Sim) checkInvariants() error {
 	for _, id := range s.honestIDs() {
 		rep := s.honest[id]
 		// Bounded memory: the commit path prunes below the latest committed
-		// checkpoint and the re-ack window, so a replica never retains more
-		// than max(window, interval-1) committed batches plus window
-		// speculative ones — window + max(window, interval) is a safe cap
-		// that must hold at every step of every schedule.
+		// checkpoint and the last window of commits, so a replica never
+		// retains more than max(window, interval-1) committed batches plus
+		// window speculative ones — window + max(window, interval) is a
+		// safe cap that must hold at every step of every schedule.
 		limit := rep.Window() + max(rep.Window(), int(s.cfg.CheckpointEvery))
 		if got := rep.Ledger().RetainedBatches(); got > limit {
 			return fmt.Errorf("memory: replica %d retains %d batches, bound %d (%s)",

@@ -3,6 +3,7 @@ package consensus
 import (
 	"bytes"
 	"fmt"
+	"maps"
 
 	"iaccf/internal/hashsig"
 	"iaccf/internal/kv"
@@ -11,43 +12,56 @@ import (
 	"iaccf/internal/wire"
 )
 
-// Chunked checkpoint state transfer (paper §3.4, §6). A replica that falls
-// behind by more than the proposal window cannot catch up from re-acks and
-// retransmissions: its peers have pruned the batches it needs, retaining
-// only the suffix above their latest committed checkpoint. The laggard
-// instead discovers who holds a checkpoint (SyncRequest/SyncAvail), fetches
-// the checkpoint as per-shard state chunks plus the committed batch suffix
-// (SyncChunkRequest/SyncChunk), verifies everything against one commit
-// certificate, and adopts the result wholesale before resuming as a normal
-// replica.
+// Certificate-anchored catch-up (paper §3.4, §6). A replica whose
+// committed boundary falls behind the cluster's never re-runs the protocol
+// for batches the cluster already finished; commit certificates are
+// transferable proof, so it catches up from them by one of two rules:
+//
+//  1. Commit from a matching certificate. A verified certificate — carried
+//     in a view-change, a new-view, or a sync offer — whose header equals
+//     the local ledger's header at its sequence number proves the whole
+//     local prefix up to it (the header's ¯M chains every earlier entry),
+//     so the replica commits that prefix directly (commitFromCert).
+//  2. Otherwise fetch. On credible evidence of any gap the replica
+//     discovers who can serve it (SyncRequest/SyncAvail) and fetches chunks
+//     (SyncChunkRequest/SyncChunk) of one offer: the committed batch suffix
+//     above its own committed boundary while the server still retains it
+//     (a suffix-only offer), or else the server's latest committed
+//     checkpoint as per-shard state chunks plus the suffix above it.
 //
 // Trust chain — one certificate anchors the whole transfer:
 //
-//   - The SyncAvail's commit certificate proves its batch header committed;
-//     the header signs d_C, so the announced shard digest vector must
-//     combine to the header's d_C.
-//   - Each state chunk must hash to its slot in that vector (the canonical
-//     per-shard serialization is exactly the preimage d_C is built from).
-//   - The frontier and the batch suffix are verified transitively: a
-//     candidate ledger is restored from the checkpoint and the suffix is
-//     re-executed onto it (ledger.ApplyBatch checks results, ¯G, ¯M, d_C
-//     per batch); the final batch's header must reproduce the certified
-//     header's signing digest. The history roots chain every entry, so a
-//     lying frontier or a tampered suffix batch cannot survive the anchor.
+//   - The SyncAvail's commit certificate proves its batch header committed.
+//   - Suffix-only: the suffix is replayed onto the replica's own committed
+//     ledger (ledger.ApplyBatch checks results, ¯G, ¯M, d_C per batch), and
+//     the final batch's header must reproduce the certified header's
+//     signing digest.
+//   - Checkpoint: the header signs d_C, so the announced shard digest
+//     vector must combine to the header's d_C, and each state chunk must
+//     hash to its slot in that vector (the canonical per-shard
+//     serialization is exactly the preimage d_C is built from). The
+//     frontier and the batch suffix are verified transitively: a candidate
+//     ledger is restored from the checkpoint, the suffix is replayed onto
+//     it, and the final header must reproduce the certified one. The
+//     history roots chain every entry, so a lying frontier or a tampered
+//     suffix batch cannot survive the anchor.
 //
-// Adoption is all-or-nothing: the replica's ledger is only swapped after
-// the full chain verifies. A source whose data fails any check is banned
-// for the rest of the sync and the transfer restarts from discovery, which
-// is what makes lying chunk servers a liveness nuisance, never a safety
-// risk. Timeouts are integer ticks (SyncTick) with exponential backoff —
-// the replica owns no clock; the harness drives it deterministically.
+// Adoption is all-or-nothing: the committed boundary only moves — and a
+// checkpoint's ledger is only swapped in — after the full chain verifies;
+// a failed suffix replay is rolled back and the speculation it replaced,
+// in-flight instances included, is restored. A source whose offer or data
+// fails any check is banned for the rest of the sync and the transfer
+// restarts from discovery, which is what makes lying chunk servers a
+// liveness nuisance, never a safety risk. Timeouts are integer ticks
+// (SyncTick) with exponential backoff — the replica owns no clock; the
+// harness drives it deterministically.
 
 // syncPhase is the state-transfer protocol state.
 type syncPhase uint8
 
 const (
-	// syncIdle: in-window operation; watching for credible evidence that
-	// the cluster has moved beyond reach of normal catch-up.
+	// syncIdle: normal operation; watching for evidence of a gap (see
+	// behind).
 	syncIdle syncPhase = iota
 	// syncCollecting: broadcasting SyncRequest, waiting for a verifiable
 	// SyncAvail.
@@ -58,10 +72,12 @@ const (
 
 const (
 	// syncPatience is how many consecutive ticks the replica must observe
-	// itself behind (with no commit progress) before starting a transfer:
-	// within-window gaps heal via retransmission, and a transfer discards
-	// all in-flight participation.
-	syncPatience = 3
+	// itself behind (with no commit progress) before asking for help: a
+	// replica that is merely a few messages behind its peers commits on
+	// its own as in-flight traffic lands, and an instance under load
+	// routinely waits a few ticks for its quorum (a traced 10 s hot
+	// cluster run on 2 cores sent 581 sync frames at 3 ticks, 4 at 8).
+	syncPatience = 8
 	// syncBaseBackoff and syncMaxBackoff bound the retry deadline ticks.
 	// Ticks are scheduling rounds, and one request/reply round trip spans
 	// many rounds under load (deliveries are one per round, drops re-queue),
@@ -72,14 +88,16 @@ const (
 	// syncMaxAttempts is how many fetch rounds one source gets before it is
 	// banned and discovery restarts.
 	syncMaxAttempts = 6
-	// maxSyncSuffix bounds the committed batch suffix accepted above a
-	// checkpoint. An honest server's suffix is shorter than its checkpoint
-	// interval (it serves its latest committed checkpoint); the bound stops
-	// a hostile offer from driving an unbounded fetch plan.
+	// maxSyncSuffix bounds the committed batch suffix an offer may plan. An
+	// honest server's suffix is shorter than its retained window plus
+	// checkpoint interval; the bound stops a hostile offer from driving an
+	// unbounded fetch plan.
 	maxSyncSuffix = 1 << 12
 )
 
-// syncOffer is one accepted, certificate-verified SyncAvail.
+// syncOffer is one accepted, certificate-verified SyncAvail. A suffix-only
+// offer has no shard digests: ckptSeq is then the committed boundary the
+// suffix replays onto.
 type syncOffer struct {
 	source       ReplicaID
 	ckptSeq      uint64
@@ -95,15 +113,11 @@ type syncState struct {
 
 	// ahead is the highest cluster-committed sequence number credibly
 	// observed (certified view-change claims, new-view certificates, and
-	// far-future proposals); behindFor counts consecutive ticks spent with
-	// ahead out of window and no local commit progress.
+	// the window-implied floor of signed proposals); behindFor counts
+	// consecutive ticks spent behind with no local commit progress.
 	ahead         uint64
 	behindFor     int
 	lastCommitted uint64
-	// force requests a transfer regardless of patience: set when a rollback
-	// hit the pruned checkpoint boundary, where local history cannot reach
-	// the state the protocol needs (satellite: ErrPruned routes here).
-	force bool
 
 	deadline uint64
 	backoff  uint64
@@ -113,7 +127,7 @@ type syncState struct {
 	state  [][]byte        // per-shard chunks, nil = missing
 	batch  []*ledger.Batch // suffix ckptSeq+1..cert.Seq(), nil = missing
 	banned map[ReplicaID]bool
-	// adopted counts completed transfers (verified and swapped in).
+	// adopted counts completed transfers (verified and adopted).
 	adopted int
 }
 
@@ -145,7 +159,7 @@ func (s *syncState) reset() {
 	s.batch = nil
 }
 
-// Syncing reports whether a state transfer is in progress.
+// Syncing reports whether a catch-up transfer is in progress.
 func (r *Replica) Syncing() bool { return r.sync.phase != syncIdle }
 
 // noteAhead records credible evidence that the cluster committed through
@@ -159,37 +173,44 @@ func (r *Replica) noteAhead(seq uint64) {
 	}
 }
 
-// SyncTick advances the state-transfer clock one step and returns any
-// envelopes to send: discovery requests broadcast (the laggard does not
-// know who holds a checkpoint), chunk re-requests unicast to the accepted
-// offer's source. The harness or node runtime calls it once per scheduling
-// round; all deadlines and backoffs are in these ticks, never wall time.
+// behind reports evidence of a gap above the committed boundary: a
+// credible claim that the cluster committed past it, or in-flight
+// instances at all. A peer that committed a batch never resends its
+// messages, so a replica still waiting on that batch's quorum after
+// syncPatience ticks without commit progress asks for the certificate
+// instead — usually it matches local speculation and commits it without
+// fetching anything.
+func (r *Replica) behind() bool {
+	return r.sync.ahead > r.committed || len(r.insts) > 0
+}
+
+// SyncTick advances the catch-up clock one step and returns any envelopes
+// to send: discovery requests broadcast (the laggard does not know who can
+// serve it), chunk re-requests unicast to the accepted offer's source. The
+// harness or node runtime calls it once per scheduling round; all deadlines
+// and backoffs are in these ticks, never wall time.
 func (r *Replica) SyncTick() []Outbound {
 	s := &r.sync
 	s.tick++
-	if r.committed != s.lastCommitted {
+	progressed := r.committed != s.lastCommitted
+	if progressed {
 		s.lastCommitted = r.committed
 		s.behindFor = 0
 	}
 	var out []Outbound
 	switch s.phase {
 	case syncIdle:
-		behind := s.ahead > r.committed+uint64(r.window)
-		if behind {
-			s.behindFor++
-		} else {
+		if !r.behind() {
 			s.behindFor = 0
+			break
 		}
-		if s.force || (behind && s.behindFor >= syncPatience) {
-			s.phase = syncCollecting
-			s.backoff = syncBaseBackoff
-			s.deadline = s.tick + s.backoff
-			out = append(out, toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed}))
+		if s.behindFor++; s.behindFor >= syncPatience {
+			out = append(out, r.rediscover())
 		}
 	case syncCollecting:
-		if !s.force && s.ahead <= r.committed+uint64(r.window) {
-			// Caught up organically (delayed traffic arrived after all):
-			// stop asking.
+		if progressed || !r.behind() {
+			// Commits resumed (delayed traffic arrived after all): stop
+			// asking; a renewed stall asks again.
 			s.reset()
 			break
 		}
@@ -213,11 +234,7 @@ func (r *Replica) SyncTick() []Outbound {
 				// The source keeps failing to deliver verifiable chunks:
 				// ban it and rediscover.
 				r.banSyncSource(s.offer.source)
-				s.phase = syncCollecting
-				s.backoff = syncBaseBackoff
-				s.deadline = s.tick + s.backoff
-				s.offer, s.state, s.batch = nil, nil, nil
-				out = append(out, toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed}))
+				out = append(out, r.rediscover())
 				break
 			}
 			if s.backoff < syncMaxBackoff {
@@ -228,6 +245,17 @@ func (r *Replica) SyncTick() []Outbound {
 		}
 	}
 	return out
+}
+
+// rediscover drops any offer in progress and (re)starts discovery with a
+// broadcast request for the gap above the committed boundary.
+func (r *Replica) rediscover() Outbound {
+	s := &r.sync
+	s.reset()
+	s.phase = syncCollecting
+	s.backoff = syncBaseBackoff
+	s.deadline = s.tick + s.backoff
+	return toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed})
 }
 
 // banSyncSource excludes a source for the remainder of this replica's sync
@@ -247,7 +275,7 @@ func (r *Replica) banSyncSource(id ReplicaID) {
 
 // requestMissingChunks re-emits chunk requests for everything still owed by
 // the current offer, each addressed to the offer's source alone — the only
-// replica whose checkpoint the fetch plan was derived from.
+// replica whose data the fetch plan was derived from.
 func (r *Replica) requestMissingChunks() []Outbound {
 	s := &r.sync
 	if s.offer == nil {
@@ -273,37 +301,37 @@ func (r *Replica) requestMissingChunks() []Outbound {
 	return out
 }
 
-// handleSyncRequest is the server side of discovery: if this replica holds
-// a committed checkpoint past the requester's watermark, it answers — the
-// requester alone; an offer means nothing to anyone else — with the
-// checkpoint coordinates anchored by its latest commit certificate.
+// handleSyncRequest is the server side of discovery. A replica whose latest
+// commit certificate is past the requester's watermark answers — the
+// requester alone; an offer means nothing to anyone else — anchored by that
+// certificate: a suffix-only offer while it still retains every batch above
+// the watermark, otherwise its latest committed checkpoint's coordinates.
 func (r *Replica) handleSyncRequest(m *SyncRequest, out *[]Outbound) error {
 	if int(m.Replica) >= r.n || m.Replica == r.cfg.ID {
 		return nil
 	}
-	if r.lastCommit == nil || r.lastCommit.Seq() != r.committed {
+	if r.lastCommit == nil || r.lastCommit.Seq() != r.committed || r.committed <= m.HaveSeq {
 		return nil
 	}
-	ck := r.led.CheckpointAt(r.committed)
-	if ck == nil || ck.Seq <= m.HaveSeq {
-		// Nothing to offer beyond what normal retransmission covers.
-		return nil
+	avail := &SyncAvail{Replica: r.cfg.ID, Requester: m.Replica, CkptSeq: m.HaveSeq, Cert: r.lastCommit}
+	if r.led.BatchAt(m.HaveSeq+1) == nil || r.committed-m.HaveSeq > maxSyncSuffix {
+		ck := r.led.CheckpointAt(r.committed)
+		if ck == nil || ck.Seq <= m.HaveSeq {
+			return nil
+		}
+		avail.CkptSeq = ck.Seq
+		avail.ShardDigests = ck.ShardDigests
+		avail.Frontier = ck.Frontier.Encode()
 	}
-	*out = append(*out, toPeer(m.Replica, &SyncAvail{
-		Replica:      r.cfg.ID,
-		Requester:    m.Replica,
-		CkptSeq:      ck.Seq,
-		ShardDigests: ck.ShardDigests,
-		Frontier:     ck.Frontier.Encode(),
-		Cert:         r.lastCommit,
-	}))
+	*out = append(*out, toPeer(m.Replica, avail))
 	return nil
 }
 
-// handleSyncAvail is the laggard accepting an offer: the certificate must
-// verify, certify a sequence number past our watermark, and sign over a
-// d_C that the announced shard digest vector combines to. First verified
-// offer wins; the fetch plan is derived entirely from it.
+// handleSyncAvail is the laggard accepting an offer. The certificate must
+// verify and certify a sequence number past our watermark. If it matches
+// the local ledger it is applied directly and nothing is fetched; otherwise
+// the fetch plan is derived entirely from the offer. First verified offer
+// wins; an offer that fails a check bans its source.
 func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	s := &r.sync
 	if s.phase != syncCollecting || m.Requester != r.cfg.ID {
@@ -315,34 +343,18 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	if m.Cert == nil || m.Cert.Seq() <= r.committed {
 		return nil
 	}
-	if m.CkptSeq == 0 || m.CkptSeq > m.Cert.Seq() || m.Cert.Seq()-m.CkptSeq > maxSyncSuffix {
-		return fmt.Errorf("%w: sync offer for checkpoint %d under certificate %d", ErrInvalid, m.CkptSeq, m.Cert.Seq())
-	}
-	if got := uint32(len(m.ShardDigests)); got != r.led.Shards() {
-		return fmt.Errorf("%w: sync offer with %d shards, replica runs %d", ErrInvalid, got, r.led.Shards())
-	}
-	// The certified header pins the digest vector: d_C is the domain-tagged
-	// combination of exactly these per-shard digests.
-	if kv.CombineShardDigests(m.ShardDigests) != m.Cert.Prop.Header.CkptDigest {
-		return fmt.Errorf("%w: sync offer digests do not combine to the certified d_C", ErrInvalid)
-	}
-	f, err := merkle.DecodeFrontier(m.Frontier)
+	offer, err := r.checkOffer(m)
 	if err != nil {
-		return fmt.Errorf("%w: sync offer frontier: %v", ErrInvalid, err)
+		r.banSyncSource(m.Replica)
+		return err
 	}
-	tasks, ok := m.Cert.structure(r.cfg.Peers, r.quorum)
-	if !ok || !r.verifyTasks(tasks) {
-		return fmt.Errorf("%w: sync offer certificate from %d does not verify", ErrInvalid, m.Replica)
+	if r.commitFromCert(m.Cert, out) {
+		s.reset()
+		return nil
 	}
-	s.offer = &syncOffer{
-		source:       m.Replica,
-		ckptSeq:      m.CkptSeq,
-		shardDigests: append([]hashsig.Digest(nil), m.ShardDigests...),
-		frontier:     f,
-		cert:         m.Cert,
-	}
-	s.state = make([][]byte, len(m.ShardDigests))
-	s.batch = make([]*ledger.Batch, m.Cert.Seq()-m.CkptSeq)
+	s.offer = offer
+	s.state = make([][]byte, len(offer.shardDigests))
+	s.batch = make([]*ledger.Batch, m.Cert.Seq()-offer.ckptSeq)
 	s.phase = syncFetching
 	s.attempts = 0
 	s.backoff = syncBaseBackoff
@@ -351,24 +363,66 @@ func (r *Replica) handleSyncAvail(m *SyncAvail, out *[]Outbound) error {
 	return nil
 }
 
-// handleSyncChunkRequest is the server side of the fetch: serve one chunk
-// of the checkpoint this replica announced, unicast back to the requester
-// (chunks are the bulk of sync traffic; broadcasting them would multiply
-// transfer bandwidth by the cluster size), if still retained. Requests
-// for checkpoints this replica no longer holds (pruned past, or rolled
-// back) are silently ignored; the requester's timeout re-discovers.
+// checkOffer verifies everything an offer claims before anything is
+// fetched for it: the certificate's structure and signatures, the suffix
+// bound, and per kind — a suffix-only offer must start at or below the
+// committed boundary it replays onto (only the batches above that boundary
+// are fetched); a checkpoint offer's shard digest vector must combine to
+// the certified d_C and its frontier must decode.
+func (r *Replica) checkOffer(m *SyncAvail) (*syncOffer, error) {
+	cert := m.Cert
+	if m.CkptSeq > cert.Seq() || cert.Seq()-m.CkptSeq > maxSyncSuffix {
+		return nil, fmt.Errorf("%w: sync offer from %d under certificate %d", ErrInvalid, m.CkptSeq, cert.Seq())
+	}
+	offer := &syncOffer{source: m.Replica, ckptSeq: m.CkptSeq, cert: cert}
+	if len(m.ShardDigests) == 0 {
+		if m.CkptSeq > r.committed {
+			return nil, fmt.Errorf("%w: suffix offer from %d above committed %d", ErrInvalid, m.CkptSeq, r.committed)
+		}
+		offer.ckptSeq = r.committed
+	} else {
+		if m.CkptSeq == 0 {
+			return nil, fmt.Errorf("%w: sync offer for checkpoint 0", ErrInvalid)
+		}
+		if got := uint32(len(m.ShardDigests)); got != r.led.Shards() {
+			return nil, fmt.Errorf("%w: sync offer with %d shards, replica runs %d", ErrInvalid, got, r.led.Shards())
+		}
+		// The certified header pins the digest vector: d_C is the
+		// domain-tagged combination of exactly these per-shard digests.
+		if kv.CombineShardDigests(m.ShardDigests) != cert.Prop.Header.CkptDigest {
+			return nil, fmt.Errorf("%w: sync offer digests do not combine to the certified d_C", ErrInvalid)
+		}
+		f, err := merkle.DecodeFrontier(m.Frontier)
+		if err != nil {
+			return nil, fmt.Errorf("%w: sync offer frontier: %v", ErrInvalid, err)
+		}
+		offer.shardDigests = append([]hashsig.Digest(nil), m.ShardDigests...)
+		offer.frontier = f
+	}
+	tasks, ok := cert.structure(r.cfg.Peers, r.quorum)
+	if !ok || !r.verifyTasks(tasks) {
+		return nil, fmt.Errorf("%w: sync offer certificate from %d does not verify", ErrInvalid, m.Replica)
+	}
+	return offer, nil
+}
+
+// handleSyncChunkRequest is the server side of the fetch: serve one chunk,
+// unicast back to the requester (chunks are the bulk of sync traffic;
+// broadcasting them would multiply transfer bandwidth by the cluster size).
+// A batch chunk is any retained committed batch; a state chunk is one
+// shard of this replica's latest committed checkpoint, which must be the
+// one requested. Requests for data this replica no longer holds (pruned
+// past, or rolled back) are silently ignored; the requester's timeout
+// re-discovers.
 func (r *Replica) handleSyncChunkRequest(m *SyncChunkRequest, out *[]Outbound) error {
 	if m.Source != r.cfg.ID || int(m.Replica) >= r.n || m.Replica == r.cfg.ID {
-		return nil
-	}
-	ck := r.led.CheckpointAt(r.committed)
-	if ck == nil || ck.Seq != m.CkptSeq {
 		return nil
 	}
 	var data []byte
 	switch m.Kind {
 	case SyncChunkState:
-		if m.Index >= uint64(len(ck.ShardDigests)) {
+		ck := r.led.CheckpointAt(r.committed)
+		if ck == nil || ck.Seq != m.CkptSeq || m.Index >= uint64(len(ck.ShardDigests)) {
 			return nil
 		}
 		var buf bytes.Buffer
@@ -445,33 +499,102 @@ func (r *Replica) handleSyncChunk(m *SyncChunk, out *[]Outbound) error {
 	default:
 		return nil
 	}
-	if s.missing() == 0 {
-		if r.committed >= s.offer.cert.Seq() {
-			// Organic progress overtook the transfer; drop it.
-			s.reset()
-			return nil
-		}
-		if err := r.adoptSync(); err != nil {
-			// The assembled transfer failed the certificate anchor: the
-			// source lied somewhere cheap verification could not catch
-			// (frontier, batch contents). Ban it and rediscover.
-			r.banSyncSource(s.offer.source)
-			s.reset()
-			s.phase = syncCollecting
-			s.backoff = syncBaseBackoff
-			s.deadline = s.tick + s.backoff
-			*out = append(*out, toAll(&SyncRequest{Replica: r.cfg.ID, HaveSeq: r.committed}))
-			return fmt.Errorf("%w: sync adoption failed: %v", ErrInvalid, err)
-		}
+	if s.missing() > 0 {
+		return nil
+	}
+	if r.committed >= s.offer.cert.Seq() {
+		// Organic progress overtook the transfer; drop it.
+		s.reset()
+		return nil
+	}
+	if err := r.adoptSync(out); err != nil {
+		// The assembled transfer failed the certificate anchor: the source
+		// lied somewhere cheap verification could not catch (frontier,
+		// batch contents). Ban it and rediscover.
+		r.banSyncSource(s.offer.source)
+		*out = append(*out, r.rediscover())
+		return fmt.Errorf("%w: sync adoption failed: %v", ErrInvalid, err)
 	}
 	return nil
 }
 
-// adoptSync performs all-or-nothing adoption of the assembled transfer: a
-// candidate ledger is restored from the chunks and the suffix is replayed
-// onto it; only if the final header reproduces the certified signing digest
-// does the replica swap ledgers and resume at the certified watermark.
-func (r *Replica) adoptSync() error {
+// adoptSync adopts the fully fetched offer, all or nothing, and returns the
+// replica to normal operation at the certified watermark.
+func (r *Replica) adoptSync(out *[]Outbound) error {
+	s := &r.sync
+	var err error
+	if len(s.offer.shardDigests) == 0 {
+		err = r.adoptSuffix(out)
+	} else {
+		err = r.adoptCheckpoint()
+	}
+	if err != nil {
+		return err
+	}
+	s.reset()
+	s.adopted++
+	return nil
+}
+
+// adoptSuffix replays the fetched suffix onto the local committed ledger
+// and commits it through the certificate. Local speculation that already
+// holds a suffix batch's header is the same chain and is kept; from the
+// first divergence on, speculation is set aside (Lemma 1) and the fetched
+// batches are applied. If a batch fails to apply or the final header misses
+// the certificate, the replay is rolled back, the speculation set aside is
+// re-applied with its instances, and nothing commits.
+func (r *Replica) adoptSuffix(out *[]Outbound) error {
+	offer := r.sync.offer
+	from := uint64(0)         // first seq the replay applied; 0 while none
+	var aside []*ledger.Batch // the local speculation it replaced
+	insts := maps.Clone(r.insts)
+	fail := func(err error) error {
+		if from != 0 {
+			if r.led.Seq() > from {
+				if err := r.led.RollbackTo(from); err != nil {
+					panic(err) // the replay's first ApplyBatch left the mark
+				}
+			}
+			for _, b := range aside {
+				if _, err := r.led.ApplyBatch(b); err != nil {
+					panic(err) // it applied onto this very state before
+				}
+			}
+			r.insts = insts
+			r.gen++
+		}
+		return err
+	}
+	for i, b := range r.sync.batch {
+		seq := offer.ckptSeq + 1 + uint64(i)
+		if seq <= r.committed {
+			continue
+		}
+		if from == 0 {
+			if local := r.led.BatchAt(seq); local != nil && local.Header.SigningDigest() == b.Header.SigningDigest() {
+				continue
+			}
+			from = seq
+			for s := seq; s < r.led.Seq(); s++ {
+				aside = append(aside, r.led.BatchAt(s))
+			}
+			r.abandonFrom(seq)
+		}
+		if _, err := r.led.ApplyBatch(b); err != nil {
+			return fail(err)
+		}
+	}
+	if !r.commitFromCert(offer.cert, out) {
+		return fail(fmt.Errorf("%w: sync suffix does not reproduce the certified header", ErrInvalid))
+	}
+	return nil
+}
+
+// adoptCheckpoint restores a candidate ledger from the state chunks and
+// replays the suffix onto it; only if the final header reproduces the
+// certified signing digest does the replica swap ledgers and resume at the
+// certified watermark.
+func (r *Replica) adoptCheckpoint() error {
 	s := &r.sync
 	offer := s.offer
 	shards := uint32(len(offer.shardDigests))
@@ -521,9 +644,15 @@ func (r *Replica) adoptSync() error {
 	// on the abandoned ledger; the certificate's view is adopted (a replica
 	// this far behind trusts certified progress, as with new-view
 	// re-proposals).
+	r.abandonFrom(r.committed + 1) // keeps the in-flight prepared claims
 	r.led = cand
 	r.committed = cert.Seq()
 	r.lastCommit = cert
+	for seq := range r.claims {
+		if seq <= r.committed {
+			delete(r.claims, seq)
+		}
+	}
 	if cert.Prop.View > r.view {
 		r.view = cert.Prop.View
 	}
@@ -531,9 +660,6 @@ func (r *Replica) adoptSync() error {
 		r.inViewChange = false
 		r.ownVC = nil
 	}
-	r.insts = make(map[uint64]*instance)
-	r.reacks = make(map[uint64]*instance)
-	r.recentOwn = make(map[uint64][]Message)
 	r.mustRepropose = make(map[uint64]hashsig.Digest)
 	r.pendingRepropose = nil
 	if r.committed > r.proposeFloor {
@@ -558,17 +684,12 @@ func (r *Replica) adoptSync() error {
 		r.future[i] = nil
 	}
 	r.future = kept
-
-	s.reset()
-	s.force = false
-	s.behindFor = 0
-	s.lastCommitted = r.committed
-	s.adopted++
 	r.gen++
 	return nil
 }
 
-// Syncs returns how many chunked state transfers this replica has adopted.
+// Syncs returns how many catch-up transfers (suffix-only or checkpoint)
+// this replica has adopted.
 func (r *Replica) Syncs() int { return r.sync.adopted }
 
 // messageSeq extracts the batch sequence number a message is about, for
@@ -586,11 +707,11 @@ func messageSeq(m Message) (uint64, bool) {
 }
 
 // maybePrune drops committed batches below both the latest committed
-// checkpoint and the re-ack window, keeping steady-state ledger memory at
-// O(window + checkpoint interval): everything a peer might still need —
-// re-ack batches inside the window, the chunk-servable checkpoint, and the
-// suffix above it — survives; anything older is reachable only through
-// state transfer, which is exactly what SyncRequest serves.
+// checkpoint and the last Window commits, keeping steady-state ledger
+// memory at O(window + checkpoint interval). What survives is what a peer
+// may still ask for: the recent suffix a slightly-behind laggard fetches
+// suffix-only, the chunk-servable checkpoint, and the suffix above it;
+// anything older is reachable only through checkpoint transfer.
 func (r *Replica) maybePrune() {
 	ck := r.led.CheckpointAt(r.committed)
 	if ck == nil {
@@ -598,7 +719,7 @@ func (r *Replica) maybePrune() {
 	}
 	w := uint64(r.window)
 	if r.committed+1 <= w {
-		return // the whole history is still inside the re-ack window
+		return // the whole history is still inside the retained window
 	}
 	r.led.Prune(min(ck.Seq+1, r.committed+1-w))
 }

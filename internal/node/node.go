@@ -89,16 +89,18 @@ type Config struct {
 	Pool *txpool.Pool
 	// BatchMax bounds requests per proposed batch. 0 means 64.
 	BatchMax int
-	// RetransmitEvery is the tick cadence of Retransmit. 0 means 8.
-	RetransmitEvery int
-	// StallTicks is how many ticks without commit progress (with work in
-	// flight) the node tolerates before voting for a view change.
-	// 0 means 32.
-	StallTicks int
-	// SubmitPatienceTicks bounds how long a pending submission waits for
-	// its commit before StatusTimeout. 0 means 128.
-	SubmitPatienceTicks int
 }
+
+const (
+	// retransmitEvery is the tick cadence of Retransmit.
+	retransmitEvery = 8
+	// stallTicks is how many ticks without commit progress (with work in
+	// flight) the node tolerates before voting for a view change.
+	stallTicks = 32
+	// submitPatienceTicks bounds how long a pending submission waits for
+	// its commit before StatusTimeout.
+	submitPatienceTicks = 128
+)
 
 type inFrame struct {
 	from  transport.NodeID
@@ -167,15 +169,6 @@ func New(cfg Config) (*Node, error) {
 	}
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 64
-	}
-	if cfg.RetransmitEvery <= 0 {
-		cfg.RetransmitEvery = 8
-	}
-	if cfg.StallTicks <= 0 {
-		cfg.StallTicks = 32
-	}
-	if cfg.SubmitPatienceTicks <= 0 {
-		cfg.SubmitPatienceTicks = 128
 	}
 	rep, err := consensus.New(cfg.Consensus)
 	if err != nil {
@@ -303,10 +296,10 @@ func (n *Node) onTick() {
 	n.ticks++
 	n.route(n.rep.SyncTick())
 	n.proposeFromPool()
-	if n.ticks%uint64(n.cfg.RetransmitEvery) == 0 {
+	if n.ticks%retransmitEvery == 0 {
 		n.route(n.rep.Retransmit())
 	}
-	if n.rep.InFlight() > 0 && n.ticks-n.lastProgressTick >= uint64(n.cfg.StallTicks) {
+	if n.rep.InFlight() > 0 && n.ticks-n.lastProgressTick >= stallTicks {
 		n.route(n.rep.OnTimeout())
 		n.lastProgressTick = n.ticks // re-arm rather than fire every tick
 	}
@@ -472,6 +465,6 @@ func (n *Node) onSubmit(s submission) {
 	}
 	n.waiters[h] = append(n.waiters[h], waiter{
 		resp:     s.resp,
-		deadline: n.ticks + uint64(n.cfg.SubmitPatienceTicks),
+		deadline: n.ticks + submitPatienceTicks,
 	})
 }

@@ -148,7 +148,7 @@ func TestTCPUnicastAndBroadcast(t *testing.T) {
 		}
 	}
 
-	waitFor(t, "node1 frames", func() bool { return recs[1].count() >= 2 })
+	waitFor(t, "node1 frames", func() bool { return recs[1].count() >= 3 })
 	waitFor(t, "node0 frames", func() bool { return recs[0].count() >= 21 })
 	waitFor(t, "node2 frame", func() bool { return recs[2].count() >= 1 })
 
