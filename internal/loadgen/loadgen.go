@@ -6,6 +6,7 @@
 package loadgen
 
 import (
+	"crypto/rand"
 	"fmt"
 	"sync"
 	"time"
@@ -28,8 +29,10 @@ type Config struct {
 	Workers int
 	// Requests is the per-worker request count. Default 32.
 	Requests int
-	// Seed derives worker author identities, so re-runs against a fresh
-	// cluster are reproducible. Default "loadgen".
+	// Seed derives worker author identities, so a re-run against a fresh
+	// cluster is reproducible. Empty means a fresh random namespace per
+	// Run, so repeated runs against one cluster submit new requests
+	// instead of duplicates of the last run's.
 	Seed string
 	// Timeout bounds each submission exchange. Default 15s.
 	Timeout time.Duration
@@ -59,7 +62,7 @@ func (c *Config) defaults() {
 		c.Requests = 32
 	}
 	if c.Seed == "" {
-		c.Seed = "loadgen"
+		c.Seed = rand.Text()
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 15 * time.Second

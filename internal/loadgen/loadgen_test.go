@@ -130,3 +130,26 @@ func TestWorkerFollowsLeaderHint(t *testing.T) {
 		t.Fatalf("unexpected result: %s", res)
 	}
 }
+
+// TestRerunWithoutSeed runs the workload twice against one cluster with
+// no Seed: each run must get its own author namespace, so the second run
+// commits new requests instead of resubmitting the first run's.
+func TestRerunWithoutSeed(t *testing.T) {
+	rpcAddrs, pubs := bootCluster(t, 4, "rerun")
+	cfg := Config{
+		Addrs:    rpcAddrs,
+		Pubs:     pubs,
+		Workers:  2,
+		Requests: 4,
+		Timeout:  20 * time.Second,
+	}
+	for run := 1; run <= 2; run++ {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if res.Duplicates != 0 || res.Failures != 0 || res.Committed != cfg.Workers*cfg.Requests {
+			t.Fatalf("run %d: %s", run, res)
+		}
+	}
+}

@@ -9,6 +9,14 @@
 // so replica state remains a pure function of the sequence of messages
 // and ticks the loop consumed, exactly the property the sim harness and
 // the detsource analyzer enforce on the layers below.
+//
+// Proposals are paced Nagle-style. A primary with nothing in flight
+// (Replica.Idle) proposes the moment work is pooled: on a submission, or
+// on the frame whose commit emptied its window. While instances are in
+// flight, new requests coalesce in the pool and go out on the next tick
+// in batches of up to BatchMax. The tick also drives SyncTick, periodic
+// Retransmit, stall detection (a view-change vote after stallTicks
+// without commit progress while work is in flight) and waiter expiry.
 package node
 
 import (
@@ -290,8 +298,12 @@ func (n *Node) onFrame(f inFrame) {
 	outs, _ := n.rep.Handle(m)
 	n.route(outs)
 	n.afterProgress()
+	n.proposeIfIdle()
 }
 
+// onTick runs the clock-driven duties: sync progress, the batched
+// proposal of whatever coalesced in the pool while instances were in
+// flight, periodic retransmission, stall detection and waiter expiry.
 func (n *Node) onTick() {
 	n.ticks++
 	n.route(n.rep.SyncTick())
@@ -299,7 +311,13 @@ func (n *Node) onTick() {
 	if n.ticks%retransmitEvery == 0 {
 		n.route(n.rep.Retransmit())
 	}
-	if n.rep.InFlight() > 0 && n.ticks-n.lastProgressTick >= stallTicks {
+	switch {
+	case n.rep.InFlight() == 0:
+		// Nothing can stall while nothing is in flight: restart the stall
+		// clock, so the first proposal after a quiet spell is not judged
+		// against the last commit.
+		n.lastProgressTick = n.ticks
+	case n.ticks-n.lastProgressTick >= stallTicks:
 		n.route(n.rep.OnTimeout())
 		n.lastProgressTick = n.ticks // re-arm rather than fire every tick
 	}
@@ -307,9 +325,21 @@ func (n *Node) onTick() {
 	n.afterProgress()
 }
 
+// proposeIfIdle proposes from the pool when the replica has nothing in
+// flight, so a request reaching an idle primary does not wait for the
+// next tick. While instances are in flight it does nothing: requests keep
+// coalescing until the tick, which keeps batches full under load.
+func (n *Node) proposeIfIdle() {
+	if n.rep.Idle() {
+		n.proposeFromPool()
+	}
+}
+
 // proposeFromPool drains the pool into proposals while the window has
-// room. Receipts from Propose are speculative until the sequence commits;
-// they are parked per seq and delivered by afterProgress.
+// room. It runs on every tick and, through proposeIfIdle, whenever the
+// replica goes idle with work pooled. Receipts from Propose are
+// speculative until the sequence commits; they are parked per seq and
+// delivered by afterProgress.
 func (n *Node) proposeFromPool() {
 	for n.rep.IsPrimary() && n.rep.CanPropose() {
 		batch := n.pool.NextBatch(n.cfg.BatchMax)
@@ -467,4 +497,5 @@ func (n *Node) onSubmit(s submission) {
 		resp:     s.resp,
 		deadline: n.ticks + submitPatienceTicks,
 	})
+	n.proposeIfIdle()
 }
